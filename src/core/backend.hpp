@@ -137,6 +137,27 @@ public:
   virtual void smooth_update(FieldId acc, FieldId res, FieldId w, FieldId sd,
                              double alpha, double beta) = 0;
 
+  /// PPCG's fixed polynomial preconditioner z = P(A) r: `steps`
+  /// Chebyshev-style smoothing steps of A e = r from e = 0 over the
+  /// eigenvalue estimate's centre `theta`, half-width `delta` and
+  /// sigma = theta / delta.  Uses kRInner, kSd and kW as scratch.  The
+  /// default is the kernel sequence below; overrides must be bitwise
+  /// identical to it and charge the same counters.
+  virtual void ppcg_inner(int steps, double theta, double delta,
+                          double sigma) {
+    copy_field(FieldId::kR, FieldId::kRInner);
+    scale_copy(FieldId::kZ, FieldId::kRInner, 0.0);
+    scale_copy(FieldId::kSd, FieldId::kRInner, 1.0 / theta);
+    double rho_old = 1.0 / sigma;
+    for (int k = 0; k < steps; ++k) {
+      exchange_apply_operator(FieldId::kSd, FieldId::kW);
+      const double rho_new = 1.0 / (2.0 * sigma - rho_old);
+      smooth_update(FieldId::kZ, FieldId::kRInner, FieldId::kW, FieldId::kSd,
+                    rho_new * rho_old, 2.0 * rho_new / delta);
+      rho_old = rho_new;
+    }
+  }
+
   /// One Jacobi sweep u_new = D^-1 (u0 + offdiag(u_old)); returns the
   /// globally-reduced sum |u_new - u_old| (TeaLeaf's Jacobi error).  Uses kR
   /// as the u_old scratch.

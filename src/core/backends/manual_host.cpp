@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -9,6 +10,7 @@
 #include "core/halo.hpp"
 #include "core/problem.hpp"
 #include "machine/instrumentation.hpp"
+#include "threading/barrier.hpp"
 
 namespace tea {
 
@@ -153,6 +155,17 @@ TL_TARGET_CLONES void finalise_band(ConstCellView u, ConstCellView density,
                                     CellView energy, int nx, int j0, int j1) {
   ref::finalise(shifted(u, j0), shifted(density, j0), shifted(energy, j0), nx,
                 j1 - j0);
+}
+
+/// One-layer reflective halo fill of rows [j0, j1) of an undecomposed
+/// field: each row's two x-halo cells, plus the y-halo row beside row 0 or
+/// ny-1 when the band owns that row.  ref::reflect_halo fills a row's x-halo
+/// before copying it out, so the corners match the whole-field fill.  Bands
+/// must be non-empty: an empty band at j0 == ny would rewrite row ny while
+/// the owner of row ny-1 is still refreshing it.
+void reflect_band(CellView f, int nx, int ny, int j0, int j1) {
+  ref::reflect_halo(shifted(f, j0), nx, j1 - j0, /*depth=*/1, true, true,
+                    j0 == 0, j1 == ny);
 }
 
 /// Coefficient band over face rows [j0, j1) of the (ny+1)-row face loop:
@@ -371,10 +384,23 @@ void ManualHostBackend::compute_residual() {
 }
 
 template <typename BandFn>
-void ManualHostBackend::overlap_exchange(FieldId exchanged,
-                                         const BandFn& band) {
+std::optional<double> ManualHostBackend::exchange_stencil(
+    FieldId exchanged, const BandFn& band) {
   const int nx = geom().nx;
   const int ny = geom().ny;
+  if (comm_ == nullptr) {
+    // Each row band mirrors its own rows' halo inside the stencil's parallel
+    // region: the 5-point stencil of row j reads only row j's x-halo, and
+    // the y-halo rows only from the band that owns row 0 or ny-1, so no
+    // band waits on another.  Partials fold exactly as reduce_rows folds.
+    CellView f = store_->view(exchanged);
+    const double local = reduce_rows([&](int j0, int j1) {
+      reflect_band(f, nx, ny, j0, j1);
+      return band(0, nx, j0, j1);
+    });
+    instr().add_halo_exchange();
+    return local;
+  }
   HaloExchange hx(store_->view(exchanged), geom(), comm_, cart_.get(),
                   /*depth=*/1);
   hx.begin();
@@ -398,65 +424,85 @@ void ManualHostBackend::overlap_exchange(FieldId exchanged,
     hx.finish();
     rows([&](int j0, int j1) { band(0, nx, j0, j1); });
   }
+  return std::nullopt;
 }
 
 void ManualHostBackend::exchange_apply_operator(FieldId in, FieldId out) {
-  if (comm_ == nullptr) return Backend::exchange_apply_operator(in, out);
   ConstCellView vin = store_->cview(in);
   CellView vout = store_->view(out);
   ConstCellView kx = store_->cview(FieldId::kKx);
   ConstCellView ky = store_->cview(FieldId::kKy);
-  overlap_exchange(in, [&](int i0, int bnx, int j0, int j1) {
+  exchange_stencil(in, [&](int i0, int bnx, int j0, int j1) {
     op_band(xshift(vin, i0), xshift(vout, i0), xshift(kx, i0), xshift(ky, i0),
             rx_, ry_, bnx, j0, j1);
+    return 0.0;
   });
   charge_kernel(geom(), ref::kCostOperator, comm_);
 }
 
 double ManualHostBackend::exchange_apply_operator_dot(FieldId in, FieldId out) {
-  if (comm_ == nullptr) return Backend::exchange_apply_operator_dot(in, out);
-  // Overlapped operator, then the canonical dot pass: its per-row
-  // row_reduce4(in * out) is exactly the association the fused kernel folds
-  // its reduction through, so the value matches the blocking path bitwise.
-  exchange_apply_operator(in, out);
-  return dot(in, out);
+  if (comm_ != nullptr || !fused_operator_dot()) {
+    // Exchange and operator, then the canonical dot pass: its per-row
+    // row_reduce4(in * out) is exactly the association the fused kernel
+    // folds its reduction through, so the value matches bitwise.
+    exchange_apply_operator(in, out);
+    return dot(in, out);
+  }
+  ConstCellView vin = store_->cview(in);
+  CellView vout = store_->view(out);
+  ConstCellView kx = store_->cview(FieldId::kKx);
+  ConstCellView ky = store_->cview(FieldId::kKy);
+  // Undecomposed, so the bands are whole rows and their partials are the
+  // fused kernel's reduction.
+  const std::optional<double> result =
+      exchange_stencil(in, [&](int i0, int bnx, int j0, int j1) {
+        return opdot_band(xshift(vin, i0), xshift(vout, i0), xshift(kx, i0),
+                          xshift(ky, i0), rx_, ry_, bnx, j0, j1);
+      });
+  charge_kernel(geom(), ref::kCostOperatorDot, comm_, /*is_reduction=*/true);
+  return *result;
 }
 
 void ManualHostBackend::exchange_compute_residual() {
-  if (comm_ == nullptr) return Backend::exchange_compute_residual();
   ConstCellView u = store_->cview(FieldId::kU);
   ConstCellView u0 = store_->cview(FieldId::kU0);
   CellView r = store_->view(FieldId::kR);
   ConstCellView kx = store_->cview(FieldId::kKx);
   ConstCellView ky = store_->cview(FieldId::kKy);
-  overlap_exchange(FieldId::kU, [&](int i0, int bnx, int j0, int j1) {
+  exchange_stencil(FieldId::kU, [&](int i0, int bnx, int j0, int j1) {
     residual_band(xshift(u, i0), xshift(u0, i0), xshift(r, i0), xshift(kx, i0),
                   xshift(ky, i0), rx_, ry_, bnx, j0, j1);
+    return 0.0;
   });
   charge_kernel(geom(), ref::kCostResidual, comm_);
 }
 
 double ManualHostBackend::exchange_jacobi_iterate() {
-  if (comm_ == nullptr) return Backend::exchange_jacobi_iterate();
   ConstCellView uold = store_->cview(FieldId::kU);
   ConstCellView u0 = store_->cview(FieldId::kU0);
   CellView w = store_->view(FieldId::kW);
   ConstCellView kx = store_->cview(FieldId::kKx);
   ConstCellView ky = store_->cview(FieldId::kKy);
-  // Sweep with the exchange in flight; per-band error partials are discarded
-  // because the split changes their association.
-  overlap_exchange(FieldId::kU, [&](int i0, int bnx, int j0, int j1) {
-    (void)jacobi_band(xshift(uold, i0), xshift(u0, i0), xshift(w, i0),
-                      xshift(kx, i0), xshift(ky, i0), rx_, ry_, bnx, j0, j1);
-  });
-  ConstCellView wc = store_->cview(FieldId::kW);
-  const int nx = geom().nx;
-  const double err = reduce_rows(
-      [&](int j0, int j1) { return absdiff_band(wc, uold, nx, j0, j1); });
+  std::optional<double> err =
+      exchange_stencil(FieldId::kU, [&](int i0, int bnx, int j0, int j1) {
+        return jacobi_band(xshift(uold, i0), xshift(u0, i0), xshift(w, i0),
+                           xshift(kx, i0), xshift(ky, i0), rx_, ry_, bnx, j0,
+                           j1);
+      });
+  if (err.has_value()) {
+    charge_kernel(geom(), ref::kCostJacobi, comm_, /*is_reduction=*/true);
+  } else {
+    // The overlapped sweep split rows, which changes the error partials'
+    // association: re-read the error through the canonical pass.
+    ConstCellView wc = store_->cview(FieldId::kW);
+    const int nx = geom().nx;
+    err = reduce_rows(
+        [&](int j0, int j1) { return absdiff_band(wc, uold, nx, j0, j1); });
+    charge_kernel(geom(), ref::kCostJacobi, comm_);
+    charge_kernel(geom(), ref::kCostDot, comm_, /*is_reduction=*/true);
+  }
   store_->swap_fields(FieldId::kW, FieldId::kU);
-  charge_kernel(geom(), ref::kCostJacobi, comm_);
-  charge_kernel(geom(), ref::kCostDot, comm_, /*is_reduction=*/true);
-  return err;
+  return *err;
 }
 
 void ManualHostBackend::copy_field(FieldId src, FieldId dst) {
@@ -524,6 +570,69 @@ void ManualHostBackend::smooth_update(FieldId acc, FieldId res, FieldId w,
     smooth_band(vacc, vres, vw, vsd, alpha, beta, nx, j0, j1);
   });
   charge_kernel(geom(), ref::kCostSmooth, comm_);
+}
+
+void ManualHostBackend::ppcg_inner(int steps, double theta, double delta,
+                                   double sigma) {
+  if (comm_ != nullptr) return Backend::ppcg_inner(steps, theta, delta, sigma);
+  ConstCellView r = store_->cview(FieldId::kR);
+  CellView rinner = store_->view(FieldId::kRInner);
+  CellView z = store_->view(FieldId::kZ);
+  CellView sd = store_->view(FieldId::kSd);
+  CellView w = store_->view(FieldId::kW);
+  ConstCellView rinner_in = store_->cview(FieldId::kRInner);
+  ConstCellView sd_in = store_->cview(FieldId::kSd);
+  ConstCellView w_in = store_->cview(FieldId::kW);
+  ConstCellView kx = store_->cview(FieldId::kKx);
+  ConstCellView ky = store_->cview(FieldId::kKy);
+  const int nx = geom().nx;
+  const int ny = geom().ny;
+  // The default's kernels, run by each thread on its own row band inside one
+  // region.  Every kernel but the operator reads only its own band's cells;
+  // the operator also reads the sd rows beside the band, so two barriers
+  // per step order it after every band's previous sd write and before any
+  // band's next one.  Per-cell arithmetic is unchanged, so z, rinner, sd
+  // and w come out bitwise identical to the default.
+  tlp::Barrier barrier(pool_ != nullptr ? pool_->size() : 1);
+  const auto body = [&](int tid, int nthreads) {
+    const tlp::StaticRange band = tlp::static_partition(0, ny, tid, nthreads);
+    const int j0 = static_cast<int>(band.begin);
+    const int j1 = static_cast<int>(band.end);
+    const bool owns_rows = j0 < j1;
+    if (owns_rows) {
+      copy_band(r, rinner, nx, j0, j1);
+      scale_band(z, rinner_in, 0.0, nx, j0, j1);
+      scale_band(sd, rinner_in, 1.0 / theta, nx, j0, j1);
+    }
+    double rho_old = 1.0 / sigma;
+    for (int k = 0; k < steps; ++k) {
+      const double rho_new = 1.0 / (2.0 * sigma - rho_old);
+      barrier.arrive_and_wait();
+      if (owns_rows) {
+        reflect_band(sd, nx, ny, j0, j1);
+        op_band(sd_in, w, kx, ky, rx_, ry_, nx, j0, j1);
+      }
+      barrier.arrive_and_wait();
+      if (owns_rows) {
+        smooth_band(z, rinner, w_in, sd, rho_new * rho_old,
+                    2.0 * rho_new / delta, nx, j0, j1);
+      }
+      rho_old = rho_new;
+    }
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_region(body);
+  } else {
+    body(0, 1);
+  }
+  charge_kernel(geom(), ref::kCostCopy, comm_);
+  charge_kernel(geom(), ref::kCostScaleCopy, comm_);
+  charge_kernel(geom(), ref::kCostScaleCopy, comm_);
+  for (int k = 0; k < steps; ++k) {
+    instr().add_halo_exchange();
+    charge_kernel(geom(), ref::kCostOperator, comm_);
+    charge_kernel(geom(), ref::kCostSmooth, comm_);
+  }
 }
 
 double ManualHostBackend::jacobi_iterate() {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/backend.hpp"
 #include "core/backends/field_arena.hpp"
@@ -41,10 +42,11 @@ public:
   void apply_operator(FieldId in, FieldId out) override;
   double apply_operator_dot(FieldId in, FieldId out) override;
   void compute_residual() override;
-  // Overlapped split-phase exchanges: interior stencil while strips fly,
-  // boundary ring after finish.  Bitwise identical to the blocking defaults
-  // (pure per-cell writes; reductions re-read through the canonical
-  // row_reduce4 passes).  Undecomposed instances use the defaults.
+  // Fused halo refresh + stencil, bitwise identical to the blocking
+  // defaults.  Decomposed: split-phase exchange, interior stencil while
+  // strips fly, boundary ring after finish (pure per-cell writes; reductions
+  // re-read through the canonical row_reduce4 passes).  Undecomposed: each
+  // row band mirrors its own halo inside the stencil's parallel region.
   void exchange_apply_operator(FieldId in, FieldId out) override;
   double exchange_apply_operator_dot(FieldId in, FieldId out) override;
   void exchange_compute_residual() override;
@@ -57,6 +59,10 @@ public:
   void precondition(FieldId dst, FieldId src) override;
   void smooth_update(FieldId acc, FieldId res, FieldId w, FieldId sd,
                      double alpha, double beta) override;
+  /// Undecomposed: the whole smoother in one parallel region, two barrier
+  /// crossings per step.  Decomposed instances use the default.
+  void ppcg_inner(int steps, double theta, double delta,
+                  double sigma) override;
   double jacobi_iterate() override;
   FieldSummary field_summary() override;
   void update_halo(std::initializer_list<FieldId> fields, int depth) override;
@@ -79,11 +85,16 @@ private:
   /// Row-wise mapped reduction returning the comm-wide combined value.
   template <typename MapFn>
   double reduce_rows(const MapFn& fn);
-  /// Split-phase exchange of one layer of `exchanged` overlapped with the
-  /// interior cells of a stencil pass; `band(i0, bnx, j0, j1)` computes
-  /// local columns [i0, i0+bnx) of rows [j0, j1).
+  /// Refresh one halo layer of `exchanged` and run a stencil pass over it;
+  /// `band(i0, bnx, j0, j1)` computes local columns [i0, i0+bnx) of rows
+  /// [j0, j1) and returns a partial sum.  Decomposed: split-phase exchange
+  /// overlapped with the interior cells, partials discarded, returns
+  /// nullopt.  Undecomposed: bands are whole rows that mirror their own halo
+  /// in the stencil's region; returns the partials folded as reduce_rows
+  /// folds them.
   template <typename BandFn>
-  void overlap_exchange(FieldId exchanged, const BandFn& band);
+  std::optional<double> exchange_stencil(FieldId exchanged,
+                                         const BandFn& band);
 
   std::string id_;
   tlp::ThreadPool* pool_;

@@ -15,7 +15,6 @@ constexpr FieldId kP = FieldId::kP;
 constexpr FieldId kW = FieldId::kW;
 constexpr FieldId kZ = FieldId::kZ;
 constexpr FieldId kSd = FieldId::kSd;
-constexpr FieldId kRInner = FieldId::kRInner;
 
 /// Shared CG iteration loop.  Runs at most `iters` iterations from the
 /// current (u, r, p, rro) state; optionally records step scalars for the
@@ -210,18 +209,8 @@ SolveStats solve_ppcg(Backend& b, const SolveOptions& o) {
   // smoothing steps of A e = r starting from e = 0.  The polynomial is the
   // same on every application, so CG's SPD preconditioner requirement holds.
   const auto smooth_z = [&] {
-    b.copy_field(kR, kRInner);
-    b.scale_copy(kZ, kRInner, 0.0);
-    b.scale_copy(kSd, kRInner, 1.0 / c.theta);
-    double rho_old = 1.0 / c.sigma;
-    for (int k = 0; k < o.ppcg_inner_steps; ++k) {
-      b.exchange_apply_operator(kSd, kW);
-      const double rho_new = 1.0 / (2.0 * c.sigma - rho_old);
-      b.smooth_update(kZ, kRInner, kW, kSd, rho_new * rho_old,
-                      2.0 * rho_new / c.delta);
-      rho_old = rho_new;
-      ++stats.inner_iterations;
-    }
+    b.ppcg_inner(o.ppcg_inner_steps, c.theta, c.delta, c.sigma);
+    stats.inner_iterations += o.ppcg_inner_steps;
   };
 
   // Re-seed the Krylov direction with the preconditioned residual.

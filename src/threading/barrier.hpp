@@ -1,14 +1,14 @@
 // barrier.hpp — reusable centralized barrier, generation-counted and fully
 // atomic: arrivals count on one cache line, departure is a release bump of
 // the generation counter that waiters observe with an acquire spin under
-// exponential backoff (see backoff.hpp).  No mutex or condition variable on
+// bounded-burst backoff (see backoff.hpp).  No mutex or condition variable on
 // any path, so a barrier crossing on warmed-up threads costs two atomic
 // operations plus the wait itself — the handoff latency the paper's
 // fork-join-heavy stencil loops are sensitive to.
 //
-// Used by rank-style lockstep algorithms (minimpi builds its collective
-// barrier on top of this); the thread pool uses the same generation-count
-// protocol inline for its fork and join phases.
+// Used by lockstep algorithms inside one pool region (the one-region PPCG
+// smoother in manual_host.cpp); the thread pool uses the same
+// generation-count protocol inline for its fork and join phases.
 #pragma once
 
 #include <atomic>

@@ -28,7 +28,9 @@ int default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(std::max(1, num_threads)) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::max(1, num_threads)),
+      reduce_slots_(static_cast<std::size_t>(num_threads_)) {
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int tid = 1; tid < num_threads_; ++tid) {
     workers_.emplace_back([this, tid] { worker_main(tid); });
@@ -51,7 +53,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_main(int tid) {
   long seen_generation = 0;
   for (;;) {
-    // Fast path: exponential-backoff spin on the generation counter.
+    // Fast path: bounded-burst backoff spin on the generation counter.
     Backoff backoff;
     while (generation_.load(std::memory_order_acquire) == seen_generation &&
            !shutdown_.load(std::memory_order_relaxed)) {
@@ -116,8 +118,8 @@ void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
     if (!first_error_) first_error_ = std::current_exception();
   }
 
-  // Join: exponential-backoff spin on the remaining-count (worker tails are
-  // short; the backoff degrades to yields on oversubscribed machines).
+  // Join: backoff spin on the remaining-count (worker tails are short; the
+  // backoff degrades to yields on oversubscribed machines).
   Backoff backoff;
   while (remaining_.load(std::memory_order_acquire) != 0) {
     backoff.pause();

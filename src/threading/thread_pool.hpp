@@ -8,13 +8,13 @@
 //
 // Fork-join protocol: a job is published by a release increment of an atomic
 // generation counter (the same generation-count scheme as tlp::Barrier);
-// workers wait for it with an exponential-backoff spin and the caller joins
-// on an atomic remaining-count the same way.  No mutex or condition variable
-// is on the handoff path — stencil codes fork thousands of tiny regions per
-// second, and the mutex/CV round trip used to dominate their latency.  A
-// worker that has spun through its budget with no work parks on a condition
-// variable (checked under the mutex, so wakeups cannot be lost); the
-// dispatcher only touches that mutex when a worker is actually parked.
+// workers wait for it with a bounded-burst backoff spin (backoff.hpp) and the
+// caller joins on an atomic remaining-count the same way.  No mutex or
+// condition variable is on the handoff path — stencil codes fork thousands of
+// tiny regions per second, and the mutex/CV round trip used to dominate their
+// latency.  A worker that has spun through its budget with no work parks on a
+// condition variable (checked under the mutex, so wakeups cannot be lost);
+// the dispatcher only touches that mutex when a worker is actually parked.
 #pragma once
 
 #include <atomic>
@@ -22,7 +22,9 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "threading/schedule.hpp"
@@ -58,26 +60,40 @@ public:
 
   /// Work-shared reduction: `map(lo, hi)` produces a partial value per chunk,
   /// `combine` folds partials.  Deterministic for static scheduling (partials
-  /// are combined in thread order).  Partials live in cache-line-padded
-  /// per-thread slots, so concurrent updates never share a line.
+  /// are combined in thread order).  Partials live in the pool's
+  /// cache-line-sized per-thread slots, so concurrent updates never share a
+  /// line and a reduction allocates nothing.
   template <typename T, typename Map, typename Combine>
   T parallel_reduce(long begin, long end, T identity, Map&& map,
                     Combine&& combine, ForOptions opts = {}) {
-    struct alignas(64) Slot {
-      T value;
+    static_assert(sizeof(T) <= sizeof(ReduceSlot) &&
+                      alignof(T) <= alignof(ReduceSlot),
+                  "reduction partials must fit one cache-line slot");
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "reduction slots are reused without destruction");
+    const auto partial = [this](int tid) {
+      return std::launder(reinterpret_cast<T*>(
+          reduce_slots_[static_cast<std::size_t>(tid)].bytes));
     };
-    std::vector<Slot> partials(static_cast<std::size_t>(num_threads_),
-                               Slot{identity});
+    for (int tid = 0; tid < num_threads_; ++tid) {
+      ::new (reduce_slots_[static_cast<std::size_t>(tid)].bytes) T(identity);
+    }
     run_loop(begin, end, opts, [&](int tid, long lo, long hi) {
-      Slot& slot = partials[static_cast<std::size_t>(tid)];
-      slot.value = combine(slot.value, map(lo, hi));
+      T& slot = *partial(tid);
+      slot = combine(slot, map(lo, hi));
     });
     T result = identity;
-    for (const Slot& p : partials) result = combine(result, p.value);
+    for (int tid = 0; tid < num_threads_; ++tid) {
+      result = combine(result, *partial(tid));
+    }
     return result;
   }
 
 private:
+  struct alignas(64) ReduceSlot {
+    unsigned char bytes[64];
+  };
+
   // Dispatch a loop with scheduling; `chunk_body(tid, lo, hi)`.
   void run_loop(long begin, long end, ForOptions opts,
                 const std::function<void(int, long, long)>& chunk_body);
@@ -86,6 +102,8 @@ private:
 
   const int num_threads_;
   std::vector<std::thread> workers_;
+  // One parallel_reduce partial per thread, sized once at construction.
+  std::vector<ReduceSlot> reduce_slots_;
 
   // Fork-join state.  `generation_` publishes jobs (release on write,
   // acquire on read orders `job_` with it); `remaining_` is the join count.

@@ -5,9 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
+#include "core/backends/manual_host.hpp"
 #include "core/registry.hpp"
+#include "machine/instrumentation.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace {
 
@@ -157,6 +164,153 @@ TEST_P(RankCountTest, OpsTiledAgreesForAnyRankCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankCountTest, ::testing::Values(1, 2, 3, 5, 8));
+
+// --- undecomposed fused entry points --------------------------------------------
+//
+// Without a comm, ManualHostBackend mirrors halos inside its stencil regions
+// and runs PPCG's smoother as one region.  Each check runs one entry point on
+// a subject backend and the Backend default sequence on a twin sharing its
+// pool, both from the same field contents with every padded cell (halo
+// corners included) set to its own value, and demands bitwise-equal fields,
+// scalars and counters.  Meshes with fewer rows than threads leave bands
+// empty.  A band that skips a barrier fails here on every run; one that
+// writes a halo row it does not own races only in a narrow window, so the
+// repeated rounds catch it sometimes and a TSan build on every run.
+
+using tea::FieldId;
+using MeshShape = std::pair<int, int>;
+
+class UndecomposedFusedEntries
+    : public ::testing::TestWithParam<std::tuple<int, MeshShape>> {};
+
+void seed_every_cell(tea::ManualHostBackend& b, std::uint64_t seed) {
+  tl::Rng rng(seed);
+  for (int f = 0; f < tea::kNumFields; ++f) {
+    double* cells = b.store().padded(static_cast<FieldId>(f));
+    for (std::int64_t k = 0; k < b.geom().padded_cells(); ++k) {
+      cells[k] = rng.uniform(0.5, 2.0);
+    }
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+::testing::AssertionResult same_padded_fields(tea::ManualHostBackend& got,
+                                              tea::ManualHostBackend& want) {
+  const tea::PartitionGeom& g = got.geom();
+  for (int f = 0; f < tea::kNumFields; ++f) {
+    const FieldId id = static_cast<FieldId>(f);
+    const double* a = got.store().padded(id);
+    const double* b = want.store().padded(id);
+    for (std::int64_t k = 0; k < g.padded_cells(); ++k) {
+      if (!same_bits(a[k], b[k])) {
+        return ::testing::AssertionFailure()
+               << tea::field_name(id) << " cell ("
+               << k % g.padded_nx() - g.halo << ", "
+               << k / g.padded_nx() - g.halo << "): " << a[k] << " vs "
+               << b[k];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(UndecomposedFusedEntries, BitwiseEqualToDefaultSequence) {
+  const auto& [threads, shape] = GetParam();
+  std::unique_ptr<tlp::ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<tlp::ThreadPool>(threads);
+  tl::Config cfg = tl::Config::default_config();
+  cfg.problem().x_cells = shape.first;
+  cfg.problem().y_cells = shape.second;
+  tea::ManualHostBackend got("manual-omp", pool.get(), nullptr);
+  tea::ManualHostBackend want("manual-omp", pool.get(), nullptr);
+  got.setup(cfg.problem());
+  want.setup(cfg.problem());
+
+  // Each entry runs the override, or with `base` the Backend default.
+  using Entry = std::function<double(tea::ManualHostBackend&, bool base)>;
+  const auto opdot = [](bool fused) {
+    return [fused](tea::ManualHostBackend& b, bool base) {
+      b.set_fused_operator_dot(fused);
+      return base ? b.Backend::exchange_apply_operator_dot(FieldId::kP,
+                                                           FieldId::kW)
+                  : b.exchange_apply_operator_dot(FieldId::kP, FieldId::kW);
+    };
+  };
+  const std::pair<const char*, Entry> entries[] = {
+      {"exchange_apply_operator",
+       [](tea::ManualHostBackend& b, bool base) {
+         if (base) {
+           b.Backend::exchange_apply_operator(FieldId::kSd, FieldId::kW);
+         } else {
+           b.exchange_apply_operator(FieldId::kSd, FieldId::kW);
+         }
+         return 0.0;
+       }},
+      {"exchange_apply_operator_dot fused", opdot(true)},
+      {"exchange_apply_operator_dot unfused", opdot(false)},
+      {"exchange_compute_residual",
+       [](tea::ManualHostBackend& b, bool base) {
+         if (base) {
+           b.Backend::exchange_compute_residual();
+         } else {
+           b.exchange_compute_residual();
+         }
+         return 0.0;
+       }},
+      {"exchange_jacobi_iterate",
+       [](tea::ManualHostBackend& b, bool base) {
+         return base ? b.Backend::exchange_jacobi_iterate()
+                     : b.exchange_jacobi_iterate();
+       }},
+      {"ppcg_inner",
+       [](tea::ManualHostBackend& b, bool base) {
+         if (base) {
+           b.Backend::ppcg_inner(12, 2.5, 2.0, 1.25);
+         } else {
+           b.ppcg_inner(12, 2.5, 2.0, 1.25);
+         }
+         return 0.0;
+       }},
+  };
+
+  std::uint64_t seed = 0;
+  for (const auto& [name, entry] : entries) {
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE(::testing::Message() << name << " round " << round);
+      ++seed;
+      for (tea::ManualHostBackend* b : {&got, &want}) {
+        seed_every_cell(*b, seed);
+        b->set_rx_ry(0.3, 0.2);
+      }
+      const machine::CounterScope got_scope;
+      const double got_value = entry(got, false);
+      const machine::Counters got_counters = got_scope.delta();
+      const machine::CounterScope want_scope;
+      const double want_value = entry(want, true);
+      const machine::Counters want_counters = want_scope.delta();
+
+      EXPECT_TRUE(same_bits(got_value, want_value))
+          << got_value << " vs " << want_value;
+      EXPECT_EQ(got_counters.to_string(), want_counters.to_string());
+      ASSERT_TRUE(same_padded_fields(got, want));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolsAndMeshes, UndecomposedFusedEntries,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
+                       ::testing::Values(MeshShape{1, 1}, MeshShape{3, 3},
+                                         MeshShape{7, 5}, MeshShape{33, 17})),
+    [](const auto& info) {
+      const int threads = std::get<0>(info.param);
+      const MeshShape shape = std::get<1>(info.param);
+      return (threads == 0 ? std::string("no_pool")
+                           : std::to_string(threads) + "_threads") +
+             "_" + std::to_string(shape.first) + "x" +
+             std::to_string(shape.second);
+    });
 
 // --- physics sanity ---------------------------------------------------------------
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "threading/backoff.hpp"
 #include "threading/barrier.hpp"
 #include "threading/schedule.hpp"
 #include "threading/thread_id.hpp"
@@ -319,6 +321,100 @@ TEST(BarrierStress, TwoBarriersPingPong) {
       b.arrive_and_wait();
     }
   });
+}
+
+TEST(ThreadPoolStress, ReductionSlotsServeEveryPartialType) {
+  // The pool's per-thread reduction slots are reused by reductions of
+  // different partial types; each must start from its own identity.
+  struct Quad {
+    double a, b, c, d;
+  };
+  tlp::ThreadPool pool(3);
+  for (int rep = 0; rep < 50; ++rep) {
+    const long n = 10 + rep;
+    const double sum = pool.parallel_reduce<double>(
+        0, n, 0.0, [](long lo, long hi) { return double(hi - lo); },
+        [](double x, double y) { return x + y; });
+    ASSERT_EQ(sum, static_cast<double>(n));
+    const Quad quad = pool.parallel_reduce<Quad>(
+        0, n, Quad{1.0, 0.0, 0.0, 0.0},
+        [](long lo, long hi) {
+          return Quad{1.0, double(hi - lo), double(lo), double(hi)};
+        },
+        [](Quad x, const Quad& y) {
+          return Quad{x.a * y.a, x.b + y.b, x.c + y.c, x.d + y.d};
+        });
+    ASSERT_EQ(quad.a, 1.0);
+    ASSERT_EQ(quad.b, static_cast<double>(n));
+  }
+}
+
+// Busy-wait `gap` without sleeping, so short gaps stay short.
+void idle_for(std::chrono::microseconds gap) {
+  const auto until = std::chrono::steady_clock::now() + gap;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(ThreadPoolStress, GappedDispatchReachesEveryWaitPhase) {
+  // Idle gaps before each region and inside each barrier phase leave the
+  // waiting threads in every phase of their wait: still checking (none,
+  // ~1 us), at the end of the pause budget (~20 us), yielding (~200 us)
+  // and, for pool workers, parked (~2 ms).  Every region must still run
+  // every thread exactly once, and no barrier phase may let a thread through
+  // before all have arrived.
+  using std::chrono::microseconds;
+  constexpr int kThreads = 4;
+  constexpr int kPhases = 6;
+  const microseconds gaps[] = {microseconds(0), microseconds(1),
+                               microseconds(20), microseconds(200),
+                               microseconds(2000)};
+  tlp::ThreadPool pool(kThreads);
+  tlp::Barrier barrier(kThreads);
+  for (int round = 0; round < 3; ++round) {
+    for (const microseconds gap : gaps) {
+      idle_for(gap);
+      std::vector<std::atomic<int>> runs(kThreads);
+      std::atomic<int> arrived{0};
+      std::atomic<int> slipped{0};
+      pool.parallel_region([&](int tid, int n) {
+        runs[static_cast<std::size_t>(tid)]++;
+        for (int phase = 0; phase < kPhases; ++phase) {
+          // One thread lags by the gap; the others wait that long.
+          if (tid == phase % n) idle_for(gap);
+          arrived++;
+          barrier.arrive_and_wait();
+          if (arrived.load() < (phase + 1) * n) slipped++;
+          barrier.arrive_and_wait();
+        }
+      });
+      for (const auto& r : runs) {
+        ASSERT_EQ(r.load(), 1) << "gap " << gap.count() << " us";
+      }
+      ASSERT_EQ(slipped.load(), 0) << "gap " << gap.count() << " us";
+      ASSERT_EQ(arrived.load(), kPhases * kThreads);
+    }
+  }
+}
+
+TEST(Backoff, BoundedBurstsThenYields) {
+  tlp::Backoff backoff;
+  long spent = 0;
+  while (backoff.pauses() < tlp::Backoff::kSpinBudget) {
+    ASSERT_EQ(backoff.yields(), 0) << "yielded after " << spent << " pauses";
+    backoff.pause();
+    const long burst = backoff.pauses() - spent;
+    ASSERT_GE(burst, 1);
+    ASSERT_LE(burst, tlp::Backoff::kMaxBurst);
+    spent = backoff.pauses();
+  }
+  EXPECT_EQ(backoff.pauses(), tlp::Backoff::kSpinBudget);
+  EXPECT_EQ(backoff.yields(), 0);
+  for (long round = 1; round <= 3; ++round) {
+    backoff.pause();
+    EXPECT_EQ(backoff.pauses(), tlp::Backoff::kSpinBudget);
+    EXPECT_EQ(backoff.yields(), round);
+  }
 }
 
 TEST(ThreadPool, GuidedChunksShrink) {
